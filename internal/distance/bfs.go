@@ -76,21 +76,46 @@ func (b *BFS) AncNonempty(v graph.NodeID, bound int, fn func(w graph.NodeID, d i
 	b.walk(v, graph.Reverse, bound, fn)
 }
 
+// Reach runs the forward nonempty-path walk of DescNonempty without a
+// callback and returns the number of nodes it reached; Reached reads the
+// distances back. It suits probes that look up only a few targets: the
+// distances stay in the oracle's scratch arrays.
+func (b *BFS) Reach(v graph.NodeID, bound int) int {
+	b.walk(v, graph.Forward, bound, nil)
+	return len(b.queue)
+}
+
+// Reached reports the distance at which the oracle's last walk (Reach,
+// DescNonempty or AncNonempty) reached w, and whether it reached w at all;
+// a Dist query in between overwrites the walk's stamps. As in DescNonempty,
+// a walk reaches its own source only when the source lies on a cycle within
+// the bound.
+func (b *BFS) Reached(w graph.NodeID) (d int, ok bool) {
+	if w < 0 || w >= len(b.seen) || b.seen[w] != b.epoch {
+		return 0, false
+	}
+	return b.dist[w], true
+}
+
+// walk visits the nodes within bound of v by a nonempty path in direction
+// dir, calling fn (when non-nil) once per node; the stamps it leaves are
+// what Reached reads. It stamps before checking the bound, so even an empty
+// walk invalidates the previous one.
 func (b *BFS) walk(v graph.NodeID, dir graph.Dir, bound int, fn func(w graph.NodeID, d int) bool) {
+	b.ensure()
+	b.queue = b.queue[:0]
 	if bound < 1 {
 		return
 	}
-	b.ensure()
 	adj := b.g.Out
 	if dir == graph.Reverse {
 		adj = b.g.In
 	}
-	b.queue = b.queue[:0]
 	for _, c := range adj(v) {
 		if b.seen[c] != b.epoch {
 			b.seen[c] = b.epoch
 			b.dist[c] = 1
-			if !fn(c, 1) {
+			if fn != nil && !fn(c, 1) {
 				return
 			}
 			b.queue = append(b.queue, c)
@@ -108,7 +133,7 @@ func (b *BFS) walk(v graph.NodeID, dir graph.Dir, bound int, fn func(w graph.Nod
 			}
 			b.seen[w] = b.epoch
 			b.dist[w] = nd
-			if !fn(w, nd) {
+			if fn != nil && !fn(w, nd) {
 				return
 			}
 			b.queue = append(b.queue, w)

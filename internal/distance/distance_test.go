@@ -138,8 +138,91 @@ func TestBFSIteratorMatchesMatrixOnRandom(t *testing.T) {
 					t.Fatalf("seed %d: DescNonempty %d→%d = %d, want %d", seed, v, w, got[w], want)
 				}
 			}
+			// Reach/Reached is the same walk without a callback.
+			const bound = 2
+			n := b.Reach(v, bound)
+			reached := 0
+			for w := 0; w < g.NumNodes(); w++ {
+				want := NonemptyDist(m, g, v, w)
+				d, ok := b.Reached(w)
+				if ok {
+					reached++
+				}
+				if ok != (want <= bound) || ok && d != want {
+					t.Fatalf("seed %d: Reached(%d) after Reach(%d, %d) = %d,%v, want %d", seed, w, v, bound, d, ok, want)
+				}
+			}
+			if n != reached {
+				t.Fatalf("seed %d: Reach(%d, %d) = %d, but %d nodes read as reached", seed, v, bound, n, reached)
+			}
 		}
 	}
+}
+
+func TestBFSReached(t *testing.T) {
+	// Triangle 0→1→2→0 with a tail 2→3.
+	g := graph.New()
+	for i := 0; i < 4; i++ {
+		g.AddNode(nil)
+	}
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	g.AddEdge(2, 0)
+	g.AddEdge(2, 3)
+	b := NewBFS(g)
+
+	t.Run("source on a cycle", func(t *testing.T) {
+		if n := b.Reach(0, 3); n != 4 {
+			t.Fatalf("Reach(0, 3) = %d, want 4", n)
+		}
+		if d, ok := b.Reached(0); !ok || d != 3 {
+			t.Fatalf("Reached(0) = %d,%v, want 3,true", d, ok)
+		}
+		// The cycle is longer than the bound: the source is absent.
+		b.Reach(0, 2)
+		if d, ok := b.Reached(0); ok {
+			t.Fatalf("Reached(0) after Reach(0, 2) = %d, want absent", d)
+		}
+	})
+	t.Run("source off every cycle", func(t *testing.T) {
+		if n := b.Reach(3, 5); n != 0 {
+			t.Fatalf("Reach(3, 5) = %d, want 0", n)
+		}
+		if _, ok := b.Reached(3); ok {
+			t.Fatal("Reached(3): a source on no cycle must be absent")
+		}
+	})
+	t.Run("empty walk clears the last one", func(t *testing.T) {
+		b.Reach(0, 3)
+		if n := b.Reach(0, 0); n != 0 {
+			t.Fatalf("Reach(0, 0) = %d, want 0", n)
+		}
+		for w := 0; w < g.NumNodes(); w++ {
+			if d, ok := b.Reached(w); ok {
+				t.Fatalf("Reached(%d) = %d after a bound-0 walk, want absent", w, d)
+			}
+		}
+		b.Reach(0, 3)
+		b.DescNonempty(0, 0, func(graph.NodeID, int) bool { return true })
+		if _, ok := b.Reached(1); ok {
+			t.Fatal("Reached(1) read a stale stamp after DescNonempty with bound 0")
+		}
+	})
+	t.Run("graph gains nodes", func(t *testing.T) {
+		b.Reach(0, 3)
+		x := g.AddNode(nil)
+		g.AddEdge(3, x)
+		if _, ok := b.Reached(x); ok {
+			t.Fatalf("Reached(%d): a node added after the walk must be absent", x)
+		}
+		b.Reach(0, 4)
+		if d, ok := b.Reached(x); !ok || d != 4 {
+			t.Fatalf("Reached(%d) = %d,%v, want 4,true", x, d, ok)
+		}
+		if d, ok := b.Reached(0); !ok || d != 3 {
+			t.Fatalf("Reached(0) = %d,%v after growth, want 3,true", d, ok)
+		}
+	})
 }
 
 func TestNonemptyDistSelfLoop(t *testing.T) {

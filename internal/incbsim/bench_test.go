@@ -39,6 +39,36 @@ func BenchmarkIncBMatchBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkIncBMatchDeleteBatch and BenchmarkIncBMatchInsertBatch time one
+// direction of the batch repair each; the batch that restores the graph
+// runs with the timer stopped.
+func BenchmarkIncBMatchDeleteBatch(b *testing.B) {
+	g, _ := benchSetup(b)
+	benchOneWay(b, g, generator.Updates(g, 0, 50, 2))
+}
+
+func BenchmarkIncBMatchInsertBatch(b *testing.B) {
+	g, _ := benchSetup(b)
+	benchOneWay(b, g, generator.Updates(g, 50, 0, 2))
+}
+
+func benchOneWay(b *testing.B, g *graph.Graph, ups []graph.Update) {
+	p := generator.DAGPattern(g, benchPattern(g), 3)
+	e, err := New(p, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inv := invert(ups)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Batch(ups)
+		b.StopTimer()
+		e.Batch(inv)
+		b.StartTimer()
+	}
+}
+
 func BenchmarkIncBMatchLandmarkBacked(b *testing.B) {
 	g, ups := benchSetup(b)
 	p := generator.DAGPattern(g, benchPattern(g), 3)

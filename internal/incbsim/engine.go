@@ -11,7 +11,10 @@
 // (km = the maximum pattern bound), so the engine re-examines exactly that
 // affected area: support counters are adjusted for flipped ss pairs,
 // invalidations cascade as in incremental simulation, and new cs/cc pairs
-// seed a candidate-closure promotion.
+// seed a candidate-closure promotion. A batch repairs all its deletions in
+// one sweep over the union of their affected areas, with a single cascade,
+// then its insertions edge by edge, with a single promotion; a unit update
+// is the one-edge batch of its kind.
 //
 // Distance queries run against either a live bounded-BFS view or a
 // maintained landmark index (Section 6.2/6.4) — the engine keeps the index
@@ -107,8 +110,8 @@ func WithLandmarkIndex(ix *landmark.Index) Option {
 }
 
 // WithWorkers bounds the parallelism of the per-source BFS sweeps in the
-// deletion repair: 0 selects the default (par.DefaultWorkers), 1 keeps the
-// repair serial.
+// insertion and deletion repairs: 0 selects the default
+// (par.DefaultWorkers), 1 keeps the repair serial.
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }

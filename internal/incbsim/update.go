@@ -2,89 +2,118 @@ package incbsim
 
 // Unit and batch updates. Touching edge (a, b) only changes distances of
 // pairs (v, w) whose (new or old) shortest path routes through it, so v
-// must reach a within km-1 hops and w must be within km-1 hops of b. The
-// sweep therefore needs just two shared bounded BFS runs (ancestors of a,
-// descendants of b) plus one old-graph bounded BFS per surviving source —
-// the affected-area confinement of Theorem 6.1(2). For insertions the new
-// distance is witnessed by d(v,a)+1+d(b,w) directly (no post-update BFS);
-// for deletions a post-update BFS runs only for sources that actually had
-// a tight pair through the deleted edge.
+// must reach a within km-1 hops and w must be within km-1 hops of b — the
+// affected-area confinement of Theorem 6.1(2). A sweep walks those two
+// sides once, then probes each source v of the area with one bounded
+// forward BFS and reads the few target distances it needs back from the
+// oracle's stamped scratch arrays (BFS.Reach / BFS.Reached).
+//
+// Insertions sweep edge by edge: the new distance of a pair is witnessed
+// by d(v,a)+1+d(b,w) directly, so only the old graph is walked.
+//
+// Deletions sweep once per batch, over the union of the deleted edges'
+// areas. Deleting edges only lengthens paths, so a pair within bound can
+// leave it only if every old shortest path used some deleted edge
+// (aᵢ, bᵢ); its old distance then equals d(v,aᵢ)+1+d(bᵢ,w). One old-graph
+// walk per source marks those tight pairs, each once however many deleted
+// edges it is tight through; after all deletions, one new-graph walk per
+// source with tight pairs decides which pairs really left the bound. A unit
+// Delete is the one-edge batch.
 
 import (
+	"cmp"
+	"slices"
+
 	"gpm/internal/distance"
 	"gpm/internal/graph"
 	"gpm/internal/par"
 	"gpm/internal/rel"
 )
 
-// neighborhood captures one side of the affected area: node → nonempty-path
-// distance, with the anchor itself at distance 0.
-type neighborhood map[graph.NodeID]int
+// nodeDist is one node of an affected-area side with its nonempty-path
+// distance from (or to) the side's anchor, the anchor itself at 0.
+type nodeDist struct {
+	v graph.NodeID
+	d int
+}
 
-// ancestorsOf returns {v : dist(v, a) <= bound} with a ↦ 0.
-func (e *Engine) ancestorsOf(a graph.NodeID, bound int) neighborhood {
-	nb := neighborhood{a: 0}
-	if bound >= 1 {
-		e.bfs.AncNonempty(a, bound, func(w graph.NodeID, d int) bool {
-			if _, ok := nb[w]; !ok {
-				nb[w] = d
-			}
-			return true
-		})
-	}
+// ancestorsOf returns {v : dist(v, a) <= bound} with a at 0, in
+// nondecreasing distance order.
+func (e *Engine) ancestorsOf(a graph.NodeID, bound int) []nodeDist {
+	nb := []nodeDist{{a, 0}}
+	e.bfs.AncNonempty(a, bound, func(w graph.NodeID, d int) bool {
+		if w != a {
+			nb = append(nb, nodeDist{w, d})
+		}
+		return true
+	})
 	return nb
 }
 
-// descendantsOf returns {w : dist(b, w) <= bound} with b ↦ 0.
-func (e *Engine) descendantsOf(b graph.NodeID, bound int) neighborhood {
-	nb := neighborhood{b: 0}
-	if bound >= 1 {
-		e.bfs.DescNonempty(b, bound, func(w graph.NodeID, d int) bool {
-			if _, ok := nb[w]; !ok {
-				nb[w] = d
-			}
-			return true
-		})
-	}
+// descendantsOf returns {w : dist(b, w) <= bound} with b at 0, in
+// nondecreasing distance order.
+func (e *Engine) descendantsOf(b graph.NodeID, bound int) []nodeDist {
+	nb := []nodeDist{{b, 0}}
+	e.bfs.DescNonempty(b, bound, func(w graph.NodeID, d int) bool {
+		if w != b {
+			nb = append(nb, nodeDist{w, d})
+		}
+		return true
+	})
 	return nb
 }
 
-// descMapWith captures the nonempty-path distances from v within bound
-// over an explicit oracle, so parallel workers can use private scratch
-// space.
-func descMapWith(b *distance.BFS, v graph.NodeID, bound int) map[graph.NodeID]int {
-	m := make(map[graph.NodeID]int)
-	if bound >= 1 {
-		b.DescNonempty(v, bound, func(w graph.NodeID, d int) bool {
-			m[w] = d
-			return true
-		})
+// targets filters the descendant side desc of a touched edge per pattern
+// edge: the nodes of set[target] that a path through the edge can bring
+// within the edge's bound. Each list keeps desc's distance order, so a
+// scan can stop at the first entry past its budget.
+func (e *Engine) targets(desc []nodeDist, set rel.Relation) [][]nodeDist {
+	out := make([][]nodeDist, len(e.edges))
+	for ei, pe := range e.edges {
+		for _, t := range desc {
+			if t.d+1 > pe.Bound {
+				break
+			}
+			if set[pe.To].Has(t.v) {
+				out[ei] = append(out[ei], t)
+			}
+		}
 	}
-	return m
+	return out
 }
 
 // maxBoundFor returns the largest bound over pattern edges whose source
 // predicate v satisfies (0 if none): the radius of v's stake in the sweep.
 func (e *Engine) maxBoundFor(v graph.NodeID) int {
 	maxK := 0
-	for _, ei := range e.edgesBySat(v) {
-		if b := e.edges[ei].Bound; b > maxK {
-			maxK = b
+	for _, pe := range e.edges {
+		if pe.Bound > maxK && e.sat[pe.From].Has(v) {
+			maxK = pe.Bound
 		}
 	}
 	return maxK
 }
 
-// edgesBySat lists the pattern-edge indices whose source predicate v
-// satisfies.
-func (e *Engine) edgesBySat(v graph.NodeID) []int {
-	var out []int
-	for ei, pe := range e.edges {
-		if e.sat[pe.From].Has(v) {
-			out = append(out, ei)
+// probe runs fn for every i in [0, n) on the engine's worker pool, each
+// worker with a private BFS oracle, and adds the node counts fn reports to
+// Stats.PairsExamined. fn may only read engine state; callers collect its
+// results by index and apply them serially.
+func (e *Engine) probe(n int, fn func(bfs *distance.BFS, i int) int) {
+	w := par.Resolve(e.workers, n)
+	if w == 1 {
+		for i := 0; i < n; i++ {
+			e.stats.PairsExamined += int64(fn(e.bfs, i))
 		}
+		return
 	}
-	return out
+	examined := make([]int64, w)
+	oracles := e.workerOracles(w)
+	par.For(n, w, func(worker, i int) {
+		examined[worker] += int64(fn(oracles[worker], i))
+	})
+	for _, ex := range examined {
+		e.stats.PairsExamined += ex
+	}
 }
 
 // applyEdge routes a graph mutation through the landmark index when one is
@@ -103,7 +132,6 @@ func (e *Engine) applyEdge(up graph.Update) bool {
 // insFlips collects one source's outcome of an insertion sweep: per-edge
 // counter increments and the pattern nodes it newly seeds for promotion.
 type insFlips struct {
-	v     graph.NodeID
 	incs  []eiCount
 	seeds []int // pattern nodes u such that (u, v) becomes a promotion seed
 }
@@ -117,146 +145,87 @@ type eiCount struct {
 // insertSweep processes one edge insertion (a, b): it adjusts support
 // counters for ss pairs flipping within bound and records promotion seeds
 // for candidate sources gaining a target. The graph is mutated inside.
-//
-// The per-source scan (one lazy old-graph bounded BFS each) only reads
-// engine state that is stable during the sweep, so it is embarrassingly
-// parallel over sources and runs on the engine's worker pool, mirroring
-// the deletion repair; counter and seed mutations stay serial.
 func (e *Engine) insertSweep(a, b graph.NodeID, seeds map[pair]bool) bool {
 	if e.g.HasEdge(a, b) {
 		return false
 	}
-	// Both neighbourhoods are identical before and after the insertion (the
-	// edge leaves a and enters b), so compute them pre-insert.
-	km := e.km
-	anc := e.ancestorsOf(a, km-1)
-	desc := e.descendantsOf(b, km-1)
-	// Pre-filter b's neighbourhood per pattern edge: potential new targets
-	// for counters (matches of the target) and for seeds (satisfying nodes).
-	type wd struct {
-		w graph.NodeID
-		d int
-	}
-	descMatch := make([][]wd, len(e.edges))
-	descSat := make([][]wd, len(e.edges))
-	for ei, pe := range e.edges {
-		for w, dbw := range desc {
-			if dbw+1 > pe.Bound {
-				continue
-			}
-			if e.match[pe.To].Has(w) {
-				descMatch[ei] = append(descMatch[ei], wd{w, dbw})
-			}
-			if e.sat[pe.To].Has(w) {
-				descSat[ei] = append(descSat[ei], wd{w, dbw})
-			}
-		}
-	}
+	// Both sides are identical before and after the insertion (the edge
+	// leaves a and enters b), so compute them pre-insert. Potential new
+	// targets are matches of the target (for counters) and satisfying
+	// nodes (for seeds).
+	anc := e.ancestorsOf(a, e.km-1)
+	desc := e.descendantsOf(b, e.km-1)
+	descMatch := e.targets(desc, e.match)
+	descSat := e.targets(desc, e.sat)
 
-	// collectIns gathers, for one source v at distance dva above a, the
+	// collect gathers, for one source v at distance dva above a, the
 	// counter increments and promotion seeds the insertion causes. It reads
-	// seeds but never writes it (writes happen in the serial apply phase).
-	collectIns := func(bfs *distance.BFS, v graph.NodeID, dva int) (flips insFlips, examined int64) {
-		flips.v = v
-		// One old-graph snapshot around v tells which pairs were already
-		// within bound — computed lazily, only when v has in-budget targets.
-		var oldD map[graph.NodeID]int
-		snapshot := func(maxK int) map[graph.NodeID]int {
-			if oldD == nil {
-				oldD = descMapWith(bfs, v, maxK)
-				examined += int64(len(oldD))
-			}
-			return oldD
-		}
+	// seeds but never writes it.
+	collect := func(bfs *distance.BFS, v graph.NodeID, dva int) (flips insFlips, examined int) {
 		maxK := e.maxBoundFor(v)
-		if maxK == 0 || dva+1 > maxK {
-			return flips, examined
+		if dva+1 > maxK {
+			return flips, 0
+		}
+		// One old-graph walk around v tells which pairs were already within
+		// bound; it runs lazily, only when v has an in-budget target.
+		walked := false
+		wasWithin := func(w graph.NodeID, bound int) bool {
+			if !walked {
+				examined = bfs.Reach(v, maxK)
+				walked = true
+			}
+			od, ok := bfs.Reached(w)
+			return ok && od <= bound
 		}
 		for ei, pe := range e.edges {
 			budget := pe.Bound - dva - 1
 			if budget < 0 {
 				continue
 			}
-			isMatchSrc := e.match[pe.From].Has(v)
-			isCand := !isMatchSrc && e.sat[pe.From].Has(v)
-			if isMatchSrc {
+			if e.match[pe.From].Has(v) {
 				n := int32(0)
 				for _, t := range descMatch[ei] {
 					if t.d > budget {
-						continue
+						break
 					}
-					// New distance ≤ dva+1+dbw ≤ bound: the pair is now
-					// within bound. It flipped iff it was not before.
-					if od, ok := snapshot(maxK)[t.w]; ok && od <= pe.Bound {
-						continue
+					// The new distance is at most dva+1+t.d <= bound, so the
+					// pair flipped iff it was not within bound before.
+					if !wasWithin(t.v, pe.Bound) {
+						n++
 					}
-					n++
 				}
 				if n > 0 {
 					flips.incs = append(flips.incs, eiCount{ei, n})
 				}
-			} else if isCand && seeds != nil {
-				if _, seeded := seeds[pair{pe.From, v}]; seeded {
-					continue
-				}
+			} else if seeds != nil && e.sat[pe.From].Has(v) && !seeds[pair{pe.From, v}] {
 				for _, t := range descSat[ei] {
 					if t.d > budget {
-						continue
+						break
 					}
-					if od, ok := snapshot(maxK)[t.w]; ok && od <= pe.Bound {
-						continue
+					if !wasWithin(t.v, pe.Bound) {
+						flips.seeds = append(flips.seeds, pe.From)
+						break
 					}
-					flips.seeds = append(flips.seeds, pe.From)
-					break
 				}
 			}
 		}
 		return flips, examined
 	}
 
-	var all []insFlips
-	w := par.Resolve(e.workers, len(anc))
-	if w == 1 {
-		for v, dva := range anc {
-			flips, ex := collectIns(e.bfs, v, dva)
-			e.stats.PairsExamined += ex
-			if len(flips.incs) > 0 || len(flips.seeds) > 0 {
-				all = append(all, flips)
-			}
-		}
-	} else {
-		type srcEntry struct {
-			v   graph.NodeID
-			dva int
-		}
-		srcs := make([]srcEntry, 0, len(anc))
-		for v, dva := range anc {
-			srcs = append(srcs, srcEntry{v, dva})
-		}
-		results := make([]insFlips, len(srcs))
-		examined := make([]int64, w)
-		oracles := e.workerOracles(w)
-		par.For(len(srcs), w, func(worker, i int) {
-			flips, ex := collectIns(oracles[worker], srcs[i].v, srcs[i].dva)
-			results[i] = flips
-			examined[worker] += ex
-		})
-		for _, ex := range examined {
-			e.stats.PairsExamined += ex
-		}
-		for _, flips := range results {
-			if len(flips.incs) > 0 || len(flips.seeds) > 0 {
-				all = append(all, flips)
-			}
-		}
-	}
-	for _, flips := range all {
+	results := make([]insFlips, len(anc))
+	e.probe(len(anc), func(bfs *distance.BFS, i int) int {
+		flips, examined := collect(bfs, anc[i].v, anc[i].d)
+		results[i] = flips
+		return examined
+	})
+	for i, flips := range results {
+		v := anc[i].v
 		for _, inc := range flips.incs {
-			e.cnt[inc.ei][flips.v] += inc.n
+			e.cnt[inc.ei][v] += inc.n
 			e.stats.CounterUpdates += int64(inc.n)
 		}
 		for _, u := range flips.seeds {
-			seeds[pair{u, flips.v}] = true
+			seeds[pair{u, v}] = true
 		}
 	}
 	return e.applyEdge(graph.Insert(a, b))
@@ -269,170 +238,143 @@ type candFlip struct {
 	w  graph.NodeID
 }
 
-// srcFlips pairs a surviving source with its tight candidate flips.
-type srcFlips struct {
-	v     graph.NodeID
-	flips []candFlip
+// cut is one deleted edge (a, b) as the deletion sweep sees it: the match
+// targets below b per pattern edge, from targets.
+type cut [][]nodeDist
+
+// above records that source v lies d hops above the tail of cuts[i].
+type above struct {
+	v graph.NodeID
+	i int
+	d int
 }
 
-// deleteSweep processes one edge deletion (a, b): pairs can only leave the
-// bound, and only pairs whose old shortest path was tight through (a, b)
+// deleteSweep applies the deletions among ups whose edges are present, as
+// one sweep, and returns how many it applied. Pairs can only leave the bound, and only
+// pairs whose old shortest path was tight through some deleted edge
 // qualify — everything else is pruned before any post-update BFS runs.
 // Both per-source BFS phases (the old-graph tightness probe and the
-// post-deletion re-measure) are embarrassingly parallel over sources and
-// run on the engine's worker pool; counter mutations stay serial.
-func (e *Engine) deleteSweep(a, b graph.NodeID, touched map[int]map[graph.NodeID]bool) bool {
-	if !e.g.HasEdge(a, b) {
-		return false
-	}
-	km := e.km
-	anc := e.ancestorsOf(a, km-1)
-	desc := e.descendantsOf(b, km-1)
-	type wd struct {
-		w graph.NodeID
-		d int
-	}
-	descMatch := make([][]wd, len(e.edges))
-	for ei, pe := range e.edges {
-		for w, dbw := range desc {
-			if dbw+1 <= pe.Bound && e.match[pe.To].Has(w) {
-				descMatch[ei] = append(descMatch[ei], wd{w, dbw})
-			}
+// post-deletion re-measure) run on the engine's worker pool; counter
+// mutations stay serial.
+func (e *Engine) deleteSweep(ups []graph.Update, touched map[int]map[graph.NodeID]bool) int {
+	// Every affected area is measured on the old graph, before any
+	// deletion.
+	var cuts []cut
+	var srcs []above
+	for _, up := range ups {
+		if up.Op != graph.DeleteEdge || !e.g.HasEdge(up.From, up.To) {
+			continue
 		}
+		for _, x := range e.ancestorsOf(up.From, e.km-1) {
+			srcs = append(srcs, above{x.v, len(cuts), x.d})
+		}
+		cuts = append(cuts, e.targets(e.descendantsOf(up.To, e.km-1), e.match))
+	}
+	if len(cuts) == 0 {
+		return 0
+	}
+	// Group the union of the areas by source: groups[j] holds every
+	// deleted edge that source j lies above.
+	slices.SortFunc(srcs, func(x, y above) int { return cmp.Compare(x.v, y.v) })
+	var groups [][]above
+	for lo := 0; lo < len(srcs); {
+		hi := lo + 1
+		for hi < len(srcs) && srcs[hi].v == srcs[lo].v {
+			hi++
+		}
+		groups = append(groups, srcs[lo:hi])
+		lo = hi
 	}
 
-	// collectTight gathers, for one source v at distance dva above a, the
-	// match pairs whose old distance was realized through (a, b). It only
-	// reads engine state that is stable during the sweep, so it is safe to
-	// run from parallel workers given a private BFS oracle.
-	collectTight := func(bfs *distance.BFS, v graph.NodeID, dva int) (flips []candFlip, examined int64) {
+	// collectTight gathers, for one source, the match pairs whose old
+	// distance was realized through some deleted edge.
+	collectTight := func(bfs *distance.BFS, grp []above) (flips []candFlip, examined int) {
+		v := grp[0].v
 		maxK := 0
 		for ei, pe := range e.edges {
-			if e.match[pe.From].Has(v) && len(descMatch[ei]) > 0 && pe.Bound > maxK {
-				maxK = pe.Bound
+			if pe.Bound <= maxK || !e.match[pe.From].Has(v) {
+				continue
+			}
+			for _, s := range grp {
+				if ts := cuts[s.i][ei]; len(ts) > 0 && s.d+1+ts[0].d <= pe.Bound {
+					maxK = pe.Bound
+					break
+				}
 			}
 		}
-		if maxK == 0 || dva+1 > maxK {
+		if maxK == 0 {
 			return nil, 0
 		}
-		var oldD map[graph.NodeID]int
+		examined = bfs.Reach(v, maxK)
 		for ei, pe := range e.edges {
 			if !e.match[pe.From].Has(v) {
 				continue
 			}
-			budget := pe.Bound - dva - 1
-			if budget < 0 {
-				continue
-			}
-			for _, t := range descMatch[ei] {
-				if t.d > budget {
-					continue
-				}
-				if oldD == nil {
-					oldD = descMapWith(bfs, v, maxK)
-					examined += int64(len(oldD))
-				}
-				// The pair can change only if its old distance was realized
-				// through (a, b).
-				if od, ok := oldD[t.w]; ok && od == dva+1+t.d && od <= pe.Bound {
-					flips = append(flips, candFlip{ei, t.w})
+			for _, s := range grp {
+				for _, t := range cuts[s.i][ei] {
+					od := s.d + 1 + t.d
+					if od > pe.Bound {
+						break
+					}
+					if d, ok := bfs.Reached(t.v); ok && d == od {
+						flips = append(flips, candFlip{ei, t.v})
+					}
 				}
 			}
+		}
+		if len(grp) > 1 {
+			// A pair tight through several deleted edges is one pair.
+			slices.SortFunc(flips, func(x, y candFlip) int {
+				return cmp.Or(cmp.Compare(x.ei, y.ei), cmp.Compare(x.w, y.w))
+			})
+			flips = slices.Compact(flips)
 		}
 		return flips, examined
 	}
+	tight := make([][]candFlip, len(groups))
+	e.probe(len(groups), func(bfs *distance.BFS, j int) int {
+		flips, examined := collectTight(bfs, groups[j])
+		tight[j] = flips
+		return examined
+	})
 
-	var tight []srcFlips
-	w := par.Resolve(e.workers, len(anc))
-	if w == 1 {
-		for v, dva := range anc {
-			flips, ex := collectTight(e.bfs, v, dva)
-			e.stats.PairsExamined += ex
-			if len(flips) > 0 {
-				tight = append(tight, srcFlips{v, flips})
-			}
-		}
-	} else {
-		type srcEntry struct {
-			v   graph.NodeID
-			dva int
-		}
-		srcs := make([]srcEntry, 0, len(anc))
-		for v, dva := range anc {
-			srcs = append(srcs, srcEntry{v, dva})
-		}
-		results := make([][]candFlip, len(srcs))
-		examined := make([]int64, w)
-		oracles := e.workerOracles(w)
-		par.For(len(srcs), w, func(worker, i int) {
-			flips, ex := collectTight(oracles[worker], srcs[i].v, srcs[i].dva)
-			results[i] = flips
-			examined[worker] += ex
-		})
-		for _, ex := range examined {
-			e.stats.PairsExamined += ex
-		}
-		for i, flips := range results {
-			if len(flips) > 0 {
-				tight = append(tight, srcFlips{srcs[i].v, flips})
-			}
+	deleted := 0
+	for _, up := range ups {
+		if up.Op == graph.DeleteEdge && e.applyEdge(up) {
+			deleted++
 		}
 	}
 
-	if !e.applyEdge(graph.Delete(a, b)) {
-		return false
-	}
-
-	// Post-deletion: re-measure only the sources that had tight pairs. Each
-	// source needs one fresh bounded BFS on the new graph — the dominant
-	// cost of the repair, also farmed out to the workers.
-	remeasure := func(bfs *distance.BFS, sf srcFlips) (drops []candFlip, examined int64) {
+	// Post-deletion: one new-graph walk per source with tight pairs; a pair
+	// drops when no path within its bound survives.
+	e.probe(len(groups), func(bfs *distance.BFS, j int) int {
+		flips := tight[j]
+		if len(flips) == 0 {
+			return 0
+		}
 		maxK := 0
-		for _, f := range sf.flips {
-			if bnd := e.edges[f.ei].Bound; bnd > maxK {
-				maxK = bnd
+		for _, f := range flips {
+			maxK = max(maxK, e.edges[f.ei].Bound)
+		}
+		examined := bfs.Reach(groups[j][0].v, maxK)
+		drops := flips[:0]
+		for _, f := range flips {
+			if d, ok := bfs.Reached(f.w); !ok || d > e.edges[f.ei].Bound {
+				drops = append(drops, f)
 			}
 		}
-		newD := descMapWith(bfs, sf.v, maxK)
-		examined = int64(len(newD))
-		for _, f := range sf.flips {
-			pe := e.edges[f.ei]
-			if nd, ok := newD[f.w]; ok && nd <= pe.Bound {
-				continue // an alternative path survives
-			}
-			drops = append(drops, f)
-		}
-		return drops, examined
-	}
-
-	w = par.Resolve(e.workers, len(tight))
-	drops := make([][]candFlip, len(tight))
-	if w == 1 {
-		for i, sf := range tight {
-			d, ex := remeasure(e.bfs, sf)
-			drops[i] = d
-			e.stats.PairsExamined += ex
-		}
-	} else {
-		examined := make([]int64, w)
-		oracles := e.workerOracles(w)
-		par.For(len(tight), w, func(worker, i int) {
-			d, ex := remeasure(oracles[worker], tight[i])
-			drops[i] = d
-			examined[worker] += ex
-		})
-		for _, ex := range examined {
-			e.stats.PairsExamined += ex
-		}
-	}
-	for i, sf := range tight {
-		for _, f := range drops[i] {
-			e.cnt[f.ei][sf.v]--
+		tight[j] = drops
+		return examined
+	})
+	for j, drops := range tight {
+		v := groups[j][0].v
+		for _, f := range drops {
+			e.cnt[f.ei][v]--
 			e.stats.CounterUpdates++
-			markTouched(touched, f.ei, sf.v)
+			markTouched(touched, f.ei, v)
 		}
 	}
-	return true
+	return deleted
 }
 
 func markTouched(touched map[int]map[graph.NodeID]bool, ei int, v graph.NodeID) {
@@ -476,7 +418,7 @@ func (e *Engine) DeleteDelta(v0, v1 graph.NodeID) (bool, rel.Delta) {
 
 func (e *Engine) deleteLocked(v0, v1 graph.NodeID) bool {
 	touched := make(map[int]map[graph.NodeID]bool)
-	if !e.deleteSweep(v0, v1, touched) {
+	if e.deleteSweep([]graph.Update{graph.Delete(v0, v1)}, touched) == 0 {
 		return false
 	}
 	e.drainTouched(touched)
@@ -510,8 +452,8 @@ func (e *Engine) insertLocked(v0, v1 graph.NodeID) bool {
 }
 
 // Batch applies a mixed update list (IncBMatch): same-edge cancellation,
-// then all deletions with a single cascade, then all insertions with a
-// single promotion.
+// then all deletions in one sweep with a single cascade, then all
+// insertions with a single promotion.
 func (e *Engine) Batch(ups []graph.Update) {
 	e.BatchDelta(ups)
 }
@@ -529,11 +471,7 @@ func (e *Engine) BatchDelta(ups []graph.Update) rel.Delta {
 func (e *Engine) batchLocked(ups []graph.Update) {
 	net := graph.NetUpdates(e.g, ups)
 	touched := make(map[int]map[graph.NodeID]bool)
-	for _, up := range net {
-		if up.Op == graph.DeleteEdge {
-			e.deleteSweep(up.From, up.To, touched)
-		}
-	}
+	e.deleteSweep(net, touched)
 	e.drainTouched(touched)
 	seeds := make(map[pair]bool)
 	for _, up := range net {
