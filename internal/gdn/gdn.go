@@ -16,9 +16,11 @@
 //     Only edge updates exist (node ids and attributes are append-only
 //     elsewhere and immutable here), so these sets are computed once and
 //     shared read-only by every engine via incsim/incbsim WithSat.
-//   - single-edge nodes run a 2-node (or self-loop) incremental engine for
-//     the sub-pattern src --bound--> dst. Their match state doubles as the
-//     network's update-relevance filter (see Apply).
+//   - single-edge nodes stand for the sub-pattern src --bound--> dst. Only
+//     bound-1 nodes keep a match engine (a 2-node or self-loop sim engine);
+//     its match state is the network's update-relevance filter (see
+//     Apply). Bounded nodes (bound > 1 or *) are always relevant, so they
+//     are refcounted keys over their predicate leaves, with no engine.
 //   - join tips run the full incremental engine over the canonically
 //     relabeled pattern. Handles remap results and deltas back through each
 //     pattern's relabeling permutation, so two renumbered twins share one
@@ -66,10 +68,11 @@ type Stats struct {
 	// already in the network and paid no engine construction at all.
 	RegisterReused int64 `json:"register_reused"`
 	// JoinRepairs and EdgeRepairs count per-commit node repairs actually
-	// executed. RepairsSaved counts the per-pattern repairs a one-engine-
-	// per-pattern registry would have executed but the network did not:
-	// each commit adds (live patterns − join repairs run), covering both
-	// patterns that share a repaired join and patterns whose join the
+	// executed; only bound-1 edge nodes hold an engine, so only they count
+	// toward EdgeRepairs. RepairsSaved counts the per-pattern repairs a
+	// one-engine-per-pattern registry would have executed but the network
+	// did not: each commit adds (live patterns − join repairs run), covering
+	// both patterns that share a repaired join and patterns whose join the
 	// relevance filter skipped outright.
 	JoinRepairs  int64 `json:"join_repairs"`
 	EdgeRepairs  int64 `json:"edge_repairs"`
@@ -110,9 +113,8 @@ type edgeNode struct {
 	key      string
 	ref      int
 	bound    int
-	selfLoop bool
 	src, dst *predNode
-	eng      engine
+	eng      engine // nil unless bound == 1
 	// broken marks an edge node whose repair panicked: its match state is
 	// unusable for relevance filtering, so it reports every later update
 	// as relevant (the sound over-approximation) and is never repaired
@@ -137,7 +139,8 @@ type edgeNode struct {
 // update failing the filter here cannot touch counter or match state in
 // the node itself or in any join over it. Nodes with bound > 1 (or *) are
 // distance-sensitive — a remote edge can reroute a bounded path — so every
-// update is relevant to them.
+// update is relevant to them; they hold no engine, so this answer must come
+// before matchSets is read.
 func (e *edgeNode) relevantTo(ups []graph.Update) bool {
 	if len(ups) == 0 {
 		return false
@@ -340,39 +343,36 @@ func (n *Network) buildJoin(kind string, d *pattern.Decomposition) (*joinNode, e
 	return j, nil
 }
 
-// buildEdgeNode constructs the 2-node (or self-loop) sub-pattern engine
-// for one single-edge node. Bound-1 nodes use the sim engine; bounded-path
-// nodes need distance maintenance and use the bsim engine. Either way the
-// node is shared across both join kinds: on a single edge with bound 1,
-// bounded simulation and plain simulation coincide.
+// buildEdgeNode constructs one single-edge node. Only bound-1 nodes get an
+// engine: a 2-node (or self-loop) sim engine whose match state is the
+// relevance filter; on a single edge with bound 1, bounded and plain
+// simulation coincide, so the node serves both join kinds. Bounded nodes
+// (bound > 1 or *) are always relevant (see relevantTo), so nothing would
+// read an engine of theirs: they are refcounted keys over their predicate
+// leaves.
 func (n *Network) buildEdgeNode(ed pattern.EdgeNode, predByKey map[string]*predNode) (*edgeNode, error) {
 	src := predByKey[ed.SrcPred]
 	dst := predByKey[ed.DstPred]
+	e := &edgeNode{key: ed.Key, bound: ed.Bound, src: src, dst: dst}
+	if ed.Bound != 1 {
+		return e, nil
+	}
 	sub := pattern.New()
-	var sat rel.Relation
-	if ed.SelfLoop {
-		sub.AddNode(src.pred())
-		if err := sub.AddColoredEdge(0, 0, ed.Bound, ed.Color); err != nil {
-			return nil, fmt.Errorf("gdn: edge node %q: %w", ed.Key, err)
-		}
-		sat = rel.Relation{src.sat}
-	} else {
-		sub.AddNode(src.pred())
+	sub.AddNode(src.pred())
+	sat, to := rel.Relation{src.sat}, 0
+	if !ed.SelfLoop {
 		sub.AddNode(dst.pred())
-		if err := sub.AddColoredEdge(0, 1, ed.Bound, ed.Color); err != nil {
-			return nil, fmt.Errorf("gdn: edge node %q: %w", ed.Key, err)
-		}
-		sat = rel.Relation{src.sat, dst.sat}
+		sat, to = append(sat, dst.sat), 1
 	}
-	kind := KindBSim
-	if ed.Bound == 1 {
-		kind = KindSim
+	if err := sub.AddColoredEdge(0, to, ed.Bound, ed.Color); err != nil {
+		return nil, fmt.Errorf("gdn: edge node %q: %w", ed.Key, err)
 	}
-	eng, err := n.newEngine(kind, sub, sat)
+	eng, err := n.newEngine(KindSim, sub, sat)
 	if err != nil {
 		return nil, fmt.Errorf("gdn: edge node %q: %w", ed.Key, err)
 	}
-	return &edgeNode{key: ed.Key, bound: ed.Bound, selfLoop: ed.SelfLoop, src: src, dst: dst, eng: eng}, nil
+	e.eng = eng
+	return e, nil
 }
 
 // pred re-parses the leaf's canonical predicate text. The parser
@@ -439,12 +439,12 @@ func (n *Network) Apply(ups []graph.Update) {
 	repairEdges := edges[:0:0]
 	for _, e := range edges {
 		e.relevant = e.relevantTo(ups)
-		if e.relevant && !e.broken {
+		if e.relevant && !e.broken && e.eng != nil {
 			repairEdges = append(repairEdges, e)
 		}
 	}
 
-	// Pass 2 — repair the relevant single-edge nodes in parallel.
+	// Pass 2 — repair the relevant engine-backed edge nodes in parallel.
 	par.For(len(repairEdges), n.workers, func(_, i int) {
 		e := repairEdges[i]
 		defer func() {
