@@ -5,6 +5,8 @@
 // stats, health — plus Stream, a match-delta subscription that delivers
 // typed events on a channel and transparently survives disconnects and
 // server restarts by resuming with the SSE Last-Event-ID contract.
+// CommitStream is the same for the raw-ΔG feed followers apply; both
+// run on one reconnecting SSE reader (sse.go).
 //
 // Every method takes a context.Context and returns promptly when it is
 // canceled. Server-side failures are returned as *APIError carrying the

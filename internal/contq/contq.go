@@ -42,6 +42,10 @@
 //   - During a commit's fan-out the canonical graph is immutable (engines
 //     read it concurrently; their overlays are private), and it is mutated
 //     only after every engine has returned.
+//   - Publishing never waits for a consumer: both delivery feeds, a
+//     pattern's Subscription (ΔM) and the CommitSub tail (ΔG), queue
+//     events in the same unbounded per-subscriber mailbox (mailbox.go),
+//     so a slow consumer costs memory, never commit latency.
 package contq
 
 import (
@@ -154,6 +158,18 @@ func (r *registration) detach(s *Subscription) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.subs, s)
+}
+
+// closeSubs ends every subscription of a pattern that is going away
+// (unregistered, evicted, or the registry closing).
+func (r *registration) closeSubs() {
+	r.mu.Lock()
+	subs := r.subs
+	r.subs = make(map[*Subscription]struct{})
+	r.mu.Unlock()
+	for s := range subs {
+		s.close()
+	}
 }
 
 func (r *registration) numSubs() int {
@@ -419,16 +435,7 @@ func (r *Registry) Unregister(id string) bool {
 		r.journal.AppendUnregister(seq, id) //nolint:errcheck // see above
 	}
 	reg.m.release()
-	reg.mu.Lock()
-	subs := make([]*Subscription, 0, len(reg.subs))
-	for s := range reg.subs {
-		subs = append(subs, s)
-	}
-	reg.subs = make(map[*Subscription]struct{})
-	reg.mu.Unlock()
-	for _, s := range subs {
-		s.close()
-	}
+	reg.closeSubs()
 	return true
 }
 
@@ -918,16 +925,7 @@ func (r *Registry) evictLocked(reg *registration, seq uint64) {
 		r.journal.AppendUnregister(seq, reg.id) //nolint:errcheck // recorded in journal.Stats
 	}
 	reg.m.release()
-	reg.mu.Lock()
-	subs := make([]*Subscription, 0, len(reg.subs))
-	for s := range reg.subs {
-		subs = append(subs, s)
-	}
-	reg.subs = make(map[*Subscription]struct{})
-	reg.mu.Unlock()
-	for _, s := range subs {
-		s.close()
-	}
+	reg.closeSubs()
 }
 
 // patternDefs serializes the registered patterns for a journal snapshot.
@@ -1203,15 +1201,6 @@ func (r *Registry) Close() {
 		// Safe without writeMu: closed is set, so no commit, Register or
 		// Unregister can touch these matchers again.
 		reg.m.release()
-		reg.mu.Lock()
-		subs := make([]*Subscription, 0, len(reg.subs))
-		for s := range reg.subs {
-			subs = append(subs, s)
-		}
-		reg.subs = make(map[*Subscription]struct{})
-		reg.mu.Unlock()
-		for _, s := range subs {
-			s.close()
-		}
+		reg.closeSubs()
 	}
 }

@@ -1,6 +1,7 @@
 package contq
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -300,41 +301,89 @@ func TestApplyValidatesEndpoints(t *testing.T) {
 	}
 }
 
-// TestLaggingSubscriberDoesNotBlockCommits verifies the unbounded mailbox:
-// commits proceed while no one reads, and the lagging consumer still sees
-// every event in order afterwards.
+// TestLaggingSubscriberDoesNotBlockCommits verifies the unbounded mailbox
+// behind both feeds: commits proceed while no one reads, the lagging
+// consumer still sees every event in order afterwards, and Cancel closes
+// C.
 func TestLaggingSubscriberDoesNotBlockCommits(t *testing.T) {
-	g := generator.Synthetic(40, 160, generator.DefaultSchema(3), 1)
-	ups := generator.Updates(g, 30, 30, 5)
-	reg := New(g)
-	if err := reg.Register("q", testPattern(g, KindSim, 1), KindSim); err != nil {
-		t.Fatal(err)
+	// lagger is one unread subscriber: recv takes the next event's seq
+	// (false once C closed) and check verifies what recv accumulated.
+	type lagger struct {
+		seq    uint64
+		recv   func() (uint64, bool)
+		cancel func()
+		check  func()
 	}
-	sub, err := reg.Subscribe("q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 10
-	for i := 0; i < n; i++ {
-		if _, err := reg.Apply(ups[i*3 : i*3+3]); err != nil {
-			t.Fatal(err) // would deadlock here if delivery blocked commits
-		}
-	}
-	acc := sub.Snapshot.Clone()
-	for i := 0; i < n; i++ {
-		ev := <-sub.C
-		if ev.Seq != sub.Seq+uint64(i)+1 {
-			t.Fatalf("event %d has seq %d", i, ev.Seq)
-		}
-		ev.Delta.Apply(acc)
-	}
-	want, _ := reg.Result("q")
-	if !acc.Equal(want) {
-		t.Fatal("lagging subscriber's accumulation diverges")
-	}
-	sub.Cancel()
-	if _, ok := <-sub.C; ok {
-		t.Fatal("Cancel must close the stream")
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T, reg *Registry) lagger
+	}{
+		{"pattern", func(t *testing.T, reg *Registry) lagger {
+			sub, err := reg.Subscribe("q")
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc := sub.Snapshot.Clone()
+			return lagger{
+				seq: sub.Seq,
+				recv: func() (uint64, bool) {
+					ev, ok := <-sub.C
+					if ok {
+						ev.Delta.Apply(acc)
+					}
+					return ev.Seq, ok
+				},
+				cancel: sub.Cancel,
+				check: func() {
+					if want, _ := reg.Result("q"); !acc.Equal(want) {
+						t.Fatal("lagging subscriber's accumulation diverges")
+					}
+				},
+			}
+		}},
+		{"commits", func(t *testing.T, reg *Registry) lagger {
+			sub, err := reg.SubscribeCommitsContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return lagger{
+				seq: sub.Seq,
+				recv: func() (uint64, bool) {
+					ev, ok := <-sub.C
+					return ev.Seq, ok
+				},
+				cancel: sub.Cancel,
+				check:  func() {},
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := generator.Synthetic(40, 160, generator.DefaultSchema(3), 1)
+			ups := generator.Updates(g, 30, 30, 5)
+			reg := New(g)
+			defer reg.Close()
+			if err := reg.Register("q", testPattern(g, KindSim, 1), KindSim); err != nil {
+				t.Fatal(err)
+			}
+			sub := tc.open(t, reg)
+			const n = 10
+			for i := 0; i < n; i++ {
+				if _, err := reg.Apply(ups[i*3 : i*3+3]); err != nil {
+					t.Fatal(err) // would deadlock here if delivery blocked commits
+				}
+			}
+			for i := 0; i < n; i++ {
+				seq, ok := sub.recv()
+				if !ok || seq != sub.seq+uint64(i)+1 {
+					t.Fatalf("event %d has seq %d (open %v), want %d", i, seq, ok, sub.seq+uint64(i)+1)
+				}
+			}
+			sub.check()
+			sub.cancel()
+			if _, ok := sub.recv(); ok {
+				t.Fatal("Cancel must close the stream")
+			}
+		})
 	}
 }
 

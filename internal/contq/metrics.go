@@ -51,7 +51,7 @@ type metrics struct {
 	applies     *obs.Counter
 	subsActive  *obs.Gauge // open subscriptions across all patterns
 	csubsActive *obs.Gauge // open raw-ΔG commit subscriptions
-	mailboxHW   *obs.Gauge // deepest subscriber mailbox ever observed
+	mailboxHW   *obs.Gauge // deepest subscriber mailbox ever observed, both kinds
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -81,7 +81,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		csubsActive: reg.Gauge("gpm_commit_subscriptions_active",
 			"Open raw-ΔG commit subscriptions (followers and commit-stream tails)."),
 		mailboxHW: reg.Gauge("gpm_subscription_mailbox_highwater",
-			"Deepest per-subscriber mailbox observed since start (events queued behind a slow consumer)."),
+			"Deepest per-subscriber mailbox observed since start, across match-delta and commit subscriptions (events queued behind a slow consumer)."),
 		repairKind: make(map[Kind]*obs.Histogram, 3),
 	}
 	for _, k := range []Kind{KindSim, KindBSim, KindIso} {
@@ -153,7 +153,8 @@ type TimingStats struct {
 	// never repaired are omitted.
 	RepairByKindMS map[string]obs.HistSnapshot `json:"repair_by_kind_ms,omitempty"`
 	// SubscriptionsActive and MailboxHighWater are the live SSE-side
-	// gauges: open subscriptions, and the deepest mailbox ever seen.
+	// gauges: open match-delta subscriptions, and the deepest mailbox of
+	// either kind (match-delta or commit subscription) ever seen.
 	SubscriptionsActive int64 `json:"subscriptions_active"`
 	MailboxHighWater    int64 `json:"mailbox_high_water"`
 }

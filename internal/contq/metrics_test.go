@@ -1,6 +1,7 @@
 package contq
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -116,6 +117,32 @@ func TestCommitTelemetry(t *testing.T) {
 	}
 	if hw := ts.MailboxHighWater; hw < 1 {
 		t.Fatalf("mailbox high-water = %d, want >= 1", hw)
+	}
+}
+
+// TestMailboxHighWaterCountsCommitSubs: the mailbox high-water gauge
+// watches commit subscribers too, so a lagging follower's queue shows up.
+func TestMailboxHighWaterCountsCommitSubs(t *testing.T) {
+	seed := int64(5)
+	g := generator.Synthetic(40, 160, generator.DefaultSchema(3), seed)
+	ups := generator.Updates(g, 12, 12, seed)
+	reg := New(g, WithMetrics(obs.NewRegistry()))
+	defer reg.Close()
+	sub, err := reg.SubscribeCommitsContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	const n = 8
+	for i := 0; i < n; i++ {
+		if _, err := reg.Apply(ups[i*3 : i*3+3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The pump may hold the first event in hand, blocked on the unread C,
+	// so the queue proper reaches at least n-1.
+	if hw := reg.Stats().Timings.MailboxHighWater; hw < n-1 {
+		t.Fatalf("mailbox high-water = %d after %d unread commits, want >= %d", hw, n, n-1)
 	}
 }
 

@@ -108,9 +108,7 @@ func (r *Registry) subscribeFrom(ctx context.Context, id string, from uint64) (*
 	base := shared.Clone() // private: backfill rewinds and replays in place
 
 	fail := func(err error) (*Subscription, error) {
-		reg.detach(s)
-		s.close()
-		s.start() // closes C for any racing reader
+		s.Cancel()
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {

@@ -3,7 +3,6 @@ package contq
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"gpm/internal/graph"
@@ -42,95 +41,16 @@ type CommitSub struct {
 	// on C carries Seq+1.
 	Seq uint64
 
-	r    *Registry
-	done chan struct{}
-	out  chan CommitEvent
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []CommitEvent
-	closed  bool
-	started bool
+	r *Registry
+	mailbox[CommitEvent]
 }
 
-// newCommitSub builds a commit subscription; a paused one collects events
-// in its mailbox but does not deliver until start — the window in which a
-// FromSeq tail backfills the missed commits ahead of the live feed.
+// newCommitSub builds a commit subscription; a paused one does not
+// deliver until start (see mailbox.init).
 func newCommitSub(r *Registry, seq uint64, paused bool) *CommitSub {
-	s := &CommitSub{Seq: seq, r: r, done: make(chan struct{}), out: make(chan CommitEvent)}
-	s.C = s.out
-	s.cond = sync.NewCond(&s.mu)
-	if r.met != nil {
-		r.met.csubsActive.Add(1)
-	}
-	if !paused {
-		s.start()
-	}
+	s := &CommitSub{Seq: seq, r: r}
+	s.C = s.init(r.met.csubsActive, r.met.mailboxHW, paused)
 	return s
-}
-
-// start launches the delivery pump (idempotent). Starting a subscription
-// that was cancelled while paused just closes C.
-func (s *CommitSub) start() {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = true
-	if s.closed {
-		s.mu.Unlock()
-		close(s.out)
-		return
-	}
-	s.mu.Unlock()
-	go s.pump()
-}
-
-// prepend queues events ahead of everything already in the mailbox; only
-// valid before start.
-func (s *CommitSub) prepend(evs []CommitEvent) {
-	s.mu.Lock()
-	if !s.closed && len(evs) > 0 {
-		s.queue = append(append(make([]CommitEvent, 0, len(evs)+len(s.queue)), evs...), s.queue...)
-	}
-	s.mu.Unlock()
-}
-
-// push enqueues one event; called by the registry's publisher under the
-// commit-subscriber lock. Never blocks beyond the mailbox lock.
-func (s *CommitSub) push(ev CommitEvent) {
-	s.mu.Lock()
-	if !s.closed {
-		s.queue = append(s.queue, ev)
-		s.cond.Signal()
-	}
-	s.mu.Unlock()
-}
-
-// pump drains the mailbox to the consumer channel in order, ending (and
-// closing the channel) on cancellation.
-func (s *CommitSub) pump() {
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if s.closed {
-			s.mu.Unlock()
-			close(s.out)
-			return
-		}
-		ev := s.queue[0]
-		s.queue = s.queue[1:]
-		s.mu.Unlock()
-		select {
-		case s.out <- ev:
-		case <-s.done:
-			close(s.out)
-			return
-		}
-	}
 }
 
 // Cancel detaches the subscription: the registry stops delivering to it,
@@ -139,24 +59,6 @@ func (s *CommitSub) pump() {
 func (s *CommitSub) Cancel() {
 	s.r.detachCommitSub(s)
 	s.close()
-	s.start() // closes C when the pump never ran (cancelled while paused)
-}
-
-// close shuts the mailbox down without detaching.
-func (s *CommitSub) close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.queue = nil
-	close(s.done)
-	s.cond.Signal()
-	s.mu.Unlock()
-	if s.r.met != nil {
-		s.r.met.csubsActive.Add(-1)
-	}
 }
 
 func (r *Registry) detachCommitSub(s *CommitSub) {
@@ -184,7 +86,6 @@ func (r *Registry) closeCommitSubs() {
 	r.cmu.Unlock()
 	for s := range subs {
 		s.close()
-		s.start() // closes C when the pump never ran
 	}
 }
 

@@ -51,6 +51,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"gpm/internal/contq"
 	"gpm/internal/graph"
@@ -500,38 +501,105 @@ func (s *Server) updates(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"seq": seq, "updates": len(ups)})
 }
 
-// sseEvent writes one SSE frame — with its commit sequence as the SSE id,
-// so clients can resume via Last-Event-ID — and flushes it.
-func sseEvent(w http.ResponseWriter, f http.Flusher, event string, seq uint64, v any) error {
-	data, err := json.Marshal(v)
+// sseEvent is one outgoing SSE frame: the event name, its commit
+// sequence (the SSE id, so clients can resume via Last-Event-ID) and its
+// JSON data document. trace and at are the producing commit's
+// traceparent and publish time, zero for opening and backfilled frames;
+// when set, the frame carries them as "trace" and "at", and its write is
+// timed by an sse.deliver span carrying the attribute key=val.
+type sseEvent struct {
+	event    string
+	seq      uint64
+	data     map[string]any
+	trace    string
+	at       time.Time
+	key, val string
+}
+
+// write writes e to the client and flushes it.
+func (e sseEvent) write(w http.ResponseWriter, fl http.Flusher, tr *trace.Tracer) error {
+	if e.trace != "" {
+		e.data["trace"] = e.trace
+	}
+	// The delivery span hangs the SSE write off the commit span that
+	// produced the event: its start is the publish timestamp, so its
+	// duration IS the event's age at delivery.
+	var ds *trace.Span
+	if !e.at.IsZero() {
+		e.data["at"] = e.at.UnixNano()
+		if sc, ok := trace.Parse(e.trace); ok {
+			ds = tr.StartSpanAt(sc, "sse.deliver", e.at)
+			ds.SetAttr(e.key, e.val)
+		}
+	}
+	defer ds.End()
+	data, err := json.Marshal(e.data)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", event, seq, data); err != nil {
+	if _, err := fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", e.event, e.seq, data); err != nil {
 		return err
 	}
-	f.Flush()
+	fl.Flush()
 	return nil
 }
 
-// resumeSeq extracts the client's resume point. The standard
-// Last-Event-ID header wins over ?from=N: an EventSource opened with
-// ?from= keeps the stale query parameter on every auto-reconnect but
-// sends the up-to-date header, and honoring the query would replay
-// already-delivered deltas. ok reports whether a resume was requested.
-func resumeSeq(r *http.Request) (seq uint64, ok bool, err error) {
+// sseRequest checks that w can stream and extracts the client's resume
+// point. The standard Last-Event-ID header wins over ?from=N: an
+// EventSource opened with ?from= keeps the stale query parameter on
+// every auto-reconnect but sends the up-to-date header, and honoring the
+// query would replay already-delivered events. resume reports whether a
+// resume was requested; on !ok the error answer is already written.
+func sseRequest(w http.ResponseWriter, r *http.Request) (fl http.Flusher, from uint64, resume, ok bool) {
+	fl, ok = w.(http.Flusher)
+	if !ok {
+		writeError(w, r, http.StatusInternalServerError, CodeInternal, fmt.Errorf("streaming unsupported"))
+		return nil, 0, false, false
+	}
 	raw := r.Header.Get("Last-Event-ID")
 	if raw == "" {
 		raw = r.URL.Query().Get("from")
 	}
 	if raw == "" {
-		return 0, false, nil
+		return fl, 0, false, true
 	}
-	seq, err = strconv.ParseUint(raw, 10, 64)
+	from, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil {
-		return 0, false, fmt.Errorf("bad resume seq %q: %w", raw, err)
+		writeError(w, r, http.StatusBadRequest, CodeInvalidSeq, fmt.Errorf("bad resume seq %q: %w", raw, err))
+		return nil, 0, false, false
 	}
-	return seq, true, nil
+	return fl, from, true, true
+}
+
+// serveSSE is the write loop of both SSE feeds: it sends the response
+// head, the opening frame (if any), then one frame per event on c,
+// encoded by enc, until the client goes away, c closes or a write fails.
+// The caller owns the subscription behind c.
+func serveSSE[E any](ctx context.Context, w http.ResponseWriter, fl http.Flusher, tr *trace.Tracer,
+	opening *sseEvent, c <-chan E, enc func(E) sseEvent) {
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	// Push the headers out now: a resumed pattern stream sends no opening
+	// frame, and without this flush a reconnecting client would sit in
+	// CONNECTING until the next commit produced its first event.
+	fl.Flush()
+	if opening != nil && opening.write(w, fl, tr) != nil {
+		return
+	}
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case ev, ok := <-c:
+			if !ok {
+				return // unsubscribed, registry swapped out, or server closing
+			}
+			if enc(ev).write(w, fl, tr) != nil {
+				return
+			}
+		}
+	}
 }
 
 // stream serves the match-delta subscription over SSE: one "snapshot"
@@ -549,20 +617,15 @@ func resumeSeq(r *http.Request) (seq uint64, ok bool, err error) {
 // The request context is honored end to end: a canceled client tears the
 // subscription down even while the resume backfill is still replaying.
 func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
+	fl, from, resume, ok := sseRequest(w, r)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, CodeInternal, fmt.Errorf("streaming unsupported"))
 		return
 	}
 	id := r.PathValue("id")
-	from, resume, err := resumeSeq(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidSeq, err)
-		return
-	}
 	ctx := r.Context()
 	reg := s.registry()
 	var sub *contq.Subscription
+	var err error
 	if resume {
 		sub, err = reg.SubscribeContext(ctx, id, contq.FromSeq(from))
 		if err != nil && !errors.Is(err, contq.ErrNotRegistered) &&
@@ -582,64 +645,26 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sub.Cancel()
 
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	// Push the headers out now: a resumed stream sends no snapshot frame,
-	// and without this flush a reconnecting client would sit in
-	// CONNECTING until the next commit produced its first event.
-	flusher.Flush()
+	var snapshot *sseEvent
 	if !resume {
-		snap := map[string]any{
+		snapshot = &sseEvent{event: "snapshot", seq: sub.Seq, data: map[string]any{
 			"id": id, "seq": sub.Seq, "size": sub.Snapshot.Size(), "pairs": pairsOrEmpty(sub.Snapshot.Pairs()),
-		}
-		if err := sseEvent(w, flusher, "snapshot", sub.Seq, snap); err != nil {
-			return
-		}
+		}}
 	}
 	// Event age at delivery: publish timestamp → this handler draining it,
 	// the lag a slow consumer (or a deep mailbox) adds on top of commit
 	// latency. Backfilled events carry no timestamp and are skipped.
 	eventAge := reg.Metrics().Histogram("gpm_sse_event_age_ms",
 		"Age of a match-delta event when the SSE handler delivers it, publish to write, in milliseconds.", nil)
-	tr := reg.Tracer()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev, ok := <-sub.C:
-			if !ok {
-				return // pattern unregistered or server closing
-			}
-			if !ev.At.IsZero() {
-				eventAge.ObserveSince(ev.At)
-			}
-			frame := map[string]any{
-				"id": ev.Pattern, "seq": ev.Seq,
-				"added": pairsOrEmpty(ev.Delta.Added), "removed": pairsOrEmpty(ev.Delta.Removed),
-			}
-			if ev.Trace != "" {
-				frame["trace"] = ev.Trace
-			}
-			if !ev.At.IsZero() {
-				frame["at"] = ev.At.UnixNano()
-			}
-			// The delivery span hangs the SSE write off the commit span that
-			// produced the event: its start is the publish timestamp, so its
-			// duration IS the event's age at delivery. Backfilled events
-			// (zero At) are historical and get no span.
-			var ds *trace.Span
-			if sc, ok := trace.Parse(ev.Trace); ok && !ev.At.IsZero() {
-				ds = tr.StartSpanAt(sc, "sse.deliver", ev.At)
-				ds.SetAttr("pattern", ev.Pattern)
-			}
-			err := sseEvent(w, flusher, "delta", ev.Seq, frame)
-			ds.End()
-			if err != nil {
-				return
-			}
+	serveSSE(ctx, w, fl, reg.Tracer(), snapshot, sub.C, func(ev contq.Event) sseEvent {
+		if !ev.At.IsZero() {
+			eventAge.ObserveSince(ev.At)
 		}
-	}
+		return sseEvent{event: "delta", seq: ev.Seq, data: map[string]any{
+			"id": ev.Pattern, "seq": ev.Seq,
+			"added": pairsOrEmpty(ev.Delta.Added), "removed": pairsOrEmpty(ev.Delta.Removed),
+		}, trace: ev.Trace, at: ev.At, key: "pattern", val: ev.Pattern}
+	})
 }
 
 // commits serves the raw ΔG tail: every committed net update batch with
@@ -712,14 +737,8 @@ func (s *Server) patternDef(w http.ResponseWriter, r *http.Request) {
 // answers 410 compacted before any frame is written — the signal to
 // re-bootstrap from /v1/snapshot.
 func (s *Server) commitStream(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
+	fl, from, resume, ok := sseRequest(w, r)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, CodeInternal, fmt.Errorf("streaming unsupported"))
-		return
-	}
-	from, resume, err := resumeSeq(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, CodeInvalidSeq, err)
 		return
 	}
 	ctx := r.Context()
@@ -736,41 +755,13 @@ func (s *Server) commitStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sub.Cancel()
 
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	// The head frame tells a fresh consumer where the stream starts (its
+	// The head frame tells a fresh consumer where the stream starts: its
 	// id seeds Last-Event-ID, so even an eventless disconnect resumes
-	// correctly) and doubles as the connection flush.
-	if err := sseEvent(w, flusher, "head", sub.Seq, map[string]any{"seq": sub.Seq}); err != nil {
-		return
-	}
-	tr := reg.Tracer()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev, ok := <-sub.C:
-			if !ok {
-				return // registry swapped out or server closing
-			}
-			frame := map[string]any{"seq": ev.Seq, "updates": updatesOrEmpty(ev.Updates)}
-			if ev.Trace != "" {
-				frame["trace"] = ev.Trace
-			}
-			if !ev.At.IsZero() {
-				frame["at"] = ev.At.UnixNano()
-			}
-			var ds *trace.Span
-			if sc, ok := trace.Parse(ev.Trace); ok && !ev.At.IsZero() {
-				ds = tr.StartSpanAt(sc, "sse.deliver", ev.At)
-				ds.SetAttr("stream", "commits")
-			}
-			err := sseEvent(w, flusher, "commit", ev.Seq, frame)
-			ds.End()
-			if err != nil {
-				return
-			}
-		}
-	}
+	// correctly.
+	head := &sseEvent{event: "head", seq: sub.Seq, data: map[string]any{"seq": sub.Seq}}
+	serveSSE(ctx, w, fl, reg.Tracer(), head, sub.C, func(ev contq.CommitEvent) sseEvent {
+		return sseEvent{event: "commit", seq: ev.Seq, data: map[string]any{
+			"seq": ev.Seq, "updates": updatesOrEmpty(ev.Updates),
+		}, trace: ev.Trace, at: ev.At, key: "stream", val: "commits"}
+	})
 }
